@@ -10,6 +10,8 @@ from __future__ import annotations
 import bisect
 from typing import Any, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 
 class History:
     """An append-only sequence of ``(timestamp, value)`` with time lookups.
@@ -95,6 +97,33 @@ class GeometricHistory:
         if self._last_recorded == 0.0 or value >= self._last_recorded * (1.0 + self.delta):
             self._history.append(timestamp, value)
             self._last_recorded = value
+
+    def observe_batch(self, timestamps, values) -> None:
+        """:meth:`observe` each ``(timestamps[i], values[i])`` in turn.
+
+        ``values`` must be non-decreasing and start at or above the last
+        recorded value; a batch that is not is rejected whole, before any
+        entry is recorded.  One ``searchsorted`` per recorded entry finds
+        the next geometric step, so the cost scales with the records, not
+        with the batch.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.size == 0:
+            return
+        if np.any(np.diff(values, prepend=self._last_recorded) < 0):
+            raise ValueError("GeometricHistory requires a non-decreasing value")
+        start = 0
+        while start < values.size:
+            if self._last_recorded != 0.0:
+                start += int(np.searchsorted(
+                    values[start:], self._last_recorded * (1.0 + self.delta)
+                ))
+                if start == values.size:
+                    break
+            value = float(values[start])
+            self._history.append(float(timestamps[start]), value)
+            self._last_recorded = value
+            start += 1
 
     def value_at(self, timestamp: float) -> float:
         """Recorded value at or before ``timestamp`` (a slight underestimate)."""

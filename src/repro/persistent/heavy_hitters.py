@@ -161,19 +161,42 @@ class AttpDyadicChainCountMin:
             raise ValueError(
                 f"key {key} outside universe [0, 2**{self.universe_bits})"
             )
-        self.count += 1
         for level, sketch in enumerate(self.levels):
             sketch.update(key >> level, timestamp, weight)
+        self.count += 1
 
     def update_batch(self, keys, timestamps, weights=None) -> None:
-        """Bulk :meth:`update` (scalar loop; the per-level chains checkpoint
-        counter drift item by item, so the work is inherently sequential)."""
+        """Bulk :meth:`update`: each level's chain takes the batch's shifted
+        keys (``keys >> level``) in one vectorized call.
+
+        The batch is validated once, against every rule :meth:`update`
+        applies; the items before the first rejected one go to every level,
+        then that item goes to :meth:`update` and raises like the loop.
+        """
         n = check_batch_lengths(keys, timestamps, weights)
-        for index in range(n):
+        if n == 0:
+            return
+        key_array = np.asarray(keys)
+        timestamp_array, weight_array, limit = self.levels[0]._valid_prefix(
+            timestamps, weights
+        )
+        outside = (key_array < 0) | (key_array >= 1 << self.universe_bits)
+        if outside[:limit].any():
+            limit = int(np.argmax(outside))
+        if limit:
+            prefix = key_array[:limit].astype(np.uint64)
+            for level, sketch in enumerate(self.levels):
+                sketch._apply(
+                    prefix >> np.uint64(level),
+                    timestamp_array[:limit],
+                    weight_array[:limit],
+                )
+            self.count += limit
+        if limit < n:
             self.update(
-                int(keys[index]),
-                float(timestamps[index]),
-                1 if weights is None else int(weights[index]),
+                int(key_array[limit]),
+                float(timestamp_array[limit]),
+                1 if weights is None else weights[limit],
             )
 
     def total_weight_at(self, timestamp: float) -> float:

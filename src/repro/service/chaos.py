@@ -227,26 +227,22 @@ class _ProcessChaosMonitor:
     schedule (same ``fired``-once semantics, same trace log, same
     ``service_chaos_events_total`` counter) and :meth:`ChaosController.
     disarm` stops the monitor's firing exactly like the thread path.
+
+    The soak calls :meth:`poll` after every arrival batch, so an event
+    fires as soon as the submitted stream reaches its offset, however
+    fast the shards apply; a timer could fall behind a fast stream and
+    fire after the settling drain, or never.
     """
 
-    def __init__(self, service, controller: ChaosController,
-                 poll_interval: float = 0.02):
+    def __init__(self, service, controller: ChaosController):
         self._service = service
         self._controller = controller
-        self._poll = poll_interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="chaos-process-monitor", daemon=True
-        )
-
-    def start(self) -> None:
-        """Start the monitor thread."""
-        self._thread.start()
+        self._sleepers: List[threading.Thread] = []
 
     def stop(self) -> None:
-        """Stop and join the monitor thread."""
-        self._stop.set()
-        self._thread.join(timeout=10.0)
+        """Wait for the slow/wedge RPCs still in flight."""
+        for thread in self._sleepers:
+            thread.join(timeout=10.0)
 
     def _take_due(self, shard: int, total: int) -> Optional[ChaosEvent]:
         controller = self._controller
@@ -258,39 +254,53 @@ class _ProcessChaosMonitor:
                 return event
         return None
 
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            if self._controller.enabled:
-                for shard, worker in enumerate(self._service._workers):
-                    total = worker.items_applied + worker.pending_items
-                    event = self._take_due(shard, total)
-                    if event is None:
-                        continue
-                    self._controller.record(
-                        "event",
-                        event=event.kind,
-                        shard=shard,
-                        at_items=event.at_items,
-                        duration=event.duration,
-                        pid=worker.pid,
-                    )
-                    if _TEL.enabled:
-                        _TEL.counter(
-                            "service_chaos_events_total", kind=event.kind
-                        ).inc()
-                    if event.kind == "kill":
-                        try:
-                            os.kill(worker.pid, signal.SIGKILL)
-                        except (ProcessLookupError, TypeError):
-                            pass  # already dead or mid-rebuild
-                    else:
-                        rpc = getattr(worker, "_rpc", None)
-                        if rpc is not None:
-                            try:
-                                rpc.call("sleep", {"seconds": event.duration})
-                            except Exception:
-                                pass  # dead or rebuilding child: event lost
-            self._stop.wait(self._poll)
+    def poll(self) -> None:
+        """Fire every event whose offset its shard's submitted total reaches.
+
+        A slow/wedge ``sleep`` RPC runs on its own thread, so the caller
+        (the producer) never blocks on it.
+        """
+        if not self._controller.enabled:
+            return
+        for shard, worker in enumerate(self._service._workers):
+            total = worker.items_applied + worker.pending_items
+            event = self._take_due(shard, total)
+            while event is not None:
+                self._fire(event, shard, worker)
+                event = self._take_due(shard, total)
+
+    def _fire(self, event: ChaosEvent, shard: int, worker) -> None:
+        self._controller.record(
+            "event",
+            event=event.kind,
+            shard=shard,
+            at_items=event.at_items,
+            duration=event.duration,
+            pid=worker.pid,
+        )
+        if _TEL.enabled:
+            _TEL.counter("service_chaos_events_total", kind=event.kind).inc()
+        if event.kind == "kill":
+            try:
+                os.kill(worker.pid, signal.SIGKILL)
+            except (ProcessLookupError, TypeError):
+                pass  # already dead or mid-rebuild
+            return
+        rpc = getattr(worker, "_rpc", None)
+        if rpc is not None:
+            thread = threading.Thread(
+                target=_sleep_rpc, args=(rpc, event.duration),
+                name="chaos-process-sleep", daemon=True,
+            )
+            thread.start()
+            self._sleepers.append(thread)
+
+
+def _sleep_rpc(rpc, seconds: float) -> None:
+    try:
+        rpc.call("sleep", {"seconds": seconds})
+    except Exception:
+        pass  # dead or rebuilding child: event lost
 
 
 class ChaosFilesystem(FaultyFilesystem):
@@ -511,7 +521,6 @@ def run_soak(
     monitor = None
     if backend == "process":
         monitor = _ProcessChaosMonitor(service, controller)
-        monitor.start()
     try:
         for batch_index, start in enumerate(range(0, keys.size, arrival_batch)):
             part_keys = keys[start : start + arrival_batch]
@@ -547,6 +556,8 @@ def run_soak(
                     f"ingest batch {batch_index} blocked {elapsed:.2f}s "
                     f"(deadline {block_timeout:g}s x {num_shards} shards)"
                 )
+            if monitor is not None:
+                monitor.poll()
             watch_tick()
             if probe_keys and batch_index % query_every == query_every - 1:
                 now = float(part_ts[-1])

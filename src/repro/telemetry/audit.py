@@ -303,30 +303,27 @@ class AccuracyAuditor:
         room = self.max_keys - len(truth.sampled_keys)
         if room <= 0:
             return
-        seen = set(truth.sampled_keys)
         if np.issubdtype(values.dtype, np.integer):
             mixed = (values.astype(np.int64) * _HASH_MIX) ^ self.seed
             mask = (mixed >> 7) & 0xFFFF < self._cut
             candidates = np.unique(values[mask])
-            for key in candidates[: room + len(seen)]:
-                key = key.item()
-                if key not in seen:
-                    truth.sampled_keys.append(key)
-                    seen.add(key)
-                    room -= 1
-                    if room <= 0:
-                        return
-        else:
-            for key in values[:1024]:
-                key = key.item() if hasattr(key, "item") else key
-                if ((hash(key) * _HASH_MIX) ^ self.seed) >> 7 & 0xFFFF >= self._cut:
-                    continue
-                if key not in seen:
-                    truth.sampled_keys.append(key)
-                    seen.add(key)
-                    room -= 1
-                    if room <= 0:
-                        return
+            if truth.sampled_keys:
+                candidates = candidates[
+                    ~np.isin(candidates, np.asarray(truth.sampled_keys))
+                ]
+            truth.sampled_keys.extend(candidates[:room].tolist())
+            return
+        seen = set(truth.sampled_keys)
+        for key in values[:1024]:
+            key = key.item() if hasattr(key, "item") else key
+            if ((hash(key) * _HASH_MIX) ^ self.seed) >> 7 & 0xFFFF >= self._cut:
+                continue
+            if key not in seen:
+                truth.sampled_keys.append(key)
+                seen.add(key)
+                room -= 1
+                if room <= 0:
+                    return
 
     # -- replay --------------------------------------------------------------
 

@@ -10,13 +10,19 @@ block boundaries) and assert identical historical answers, identical
 structure, and — on mid-batch violations — identical prefix-apply state.
 """
 
+import contextlib
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.telemetry as telemetry
 from repro.core import (
     BitpPrioritySample,
+    ChainCountMin,
+    ChainCountSketch,
     CheckpointChain,
     MergeTreePersistence,
     MonotoneViolation,
@@ -25,6 +31,7 @@ from repro.core import (
     PersistentTopKSample,
     PersistentWeightedWR,
 )
+from repro.persistent import AttpDyadicChainCountMin
 from repro.sketches import CountMinSketch, KllSketch
 
 N = 600
@@ -377,3 +384,166 @@ class TestProblemLayerSpotChecks:
             assert scalar.range_count_at(t, [-1, -1], [1, 1]) == batch.range_count_at(
                 t, [-1, -1], [1, 1]
             )
+
+
+# -- elementwise chains (Section 4.1): hypothesis-driven batch == scalar -----
+
+UNIVERSE_BITS = 5
+
+
+def chain_state(chain):
+    """Everything ingest leaves in a linear elementwise chain, in order."""
+    return (
+        [(cell, list(history)) for cell, history in chain._histories.items()],
+        list(chain._weight_history._history),
+        chain._sketch.counters().tolist(),
+        chain._last_recorded.tolist(),
+        chain.count,
+        chain.total_weight,
+    )
+
+
+def dyadic_state(stack):
+    return stack.count, [chain_state(level) for level in stack.levels]
+
+
+def make_elementwise(kind, eps_ckpt):
+    if kind == "ccm":
+        return ChainCountMin(width=8, depth=3, eps_ckpt=eps_ckpt, seed=5)
+    if kind == "ccs":
+        return ChainCountSketch(width=8, depth=3, eps_ckpt=eps_ckpt, seed=5)
+    return AttpDyadicChainCountMin(
+        UNIVERSE_BITS, eps=0.25, depth=2, eps_ckpt=eps_ckpt, seed=5
+    )
+
+
+def state_of(structure):
+    if isinstance(structure, AttpDyadicChainCountMin):
+        return dyadic_state(structure)
+    return chain_state(structure)
+
+
+@contextlib.contextmanager
+def chain_totals():
+    """Telemetry on; yields ``{name: delta}`` of the two chain counters."""
+    families = ("persistent_updates_total", "checkpoint_seals_total")
+
+    def totals():
+        return {
+            name: sum(c.value for _, c in telemetry.TELEMETRY.registry.get(name).samples())
+            for name in families
+        }
+
+    telemetry.enable()
+    before, deltas = totals(), {}
+    try:
+        yield deltas
+    finally:
+        deltas.update({k: v - before[k] for k, v in totals().items()})
+        telemetry.disable()
+
+
+def run_scalar(structure, keys, times, weights):
+    with chain_totals() as totals:
+        try:
+            for i in range(len(keys)):
+                structure.update(keys[i], times[i], 1 if weights is None else weights[i])
+            error = None
+        except ValueError as exc:
+            error = (type(exc), str(exc))
+    return error, totals
+
+
+def run_batched(structure, keys, times, weights, chunks):
+    with chain_totals() as totals:
+        position, error = 0, None
+        try:
+            for size in list(chunks) + [len(keys)]:
+                stop = min(position + size, len(keys))
+                structure.update_batch(
+                    keys[position:stop],
+                    np.asarray(times[position:stop]),
+                    None if weights is None else weights[position:stop],
+                )
+                position = stop
+        except ValueError as exc:
+            error = (type(exc), str(exc))
+    return error, totals
+
+
+@st.composite
+def elementwise_streams(draw, kind):
+    """(keys, times, weights, chunks, eps_ckpt) with frequent timestamp ties
+    and tight drift thresholds, so chunk edges straddle many records."""
+    n = draw(st.integers(0, 80))
+    keys = draw(st.lists(st.integers(0, (1 << UNIVERSE_BITS) - 1), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n))
+    times = np.cumsum(gaps).tolist()
+    if draw(st.booleans()):
+        low = -4 if kind == "ccs" else 1
+        weights = draw(st.lists(
+            st.integers(low, 4).filter(bool), min_size=n, max_size=n
+        ))
+    else:
+        weights = None
+    chunks = draw(st.lists(st.sampled_from([0, 1, 1, 2, 3, 7, 16]), max_size=12))
+    eps_ckpt = draw(st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+    return keys, times, weights, chunks, eps_ckpt
+
+
+ELEMENTWISE_KINDS = ["ccm", "ccs", "dyadic"]
+
+
+class TestElementwiseChains:
+    """``update_batch`` of the linear elementwise chains reproduces the
+    scalar loop exactly: cell histories (in creation order), weight
+    history, live table, last-recorded values, counts and telemetry."""
+
+    @pytest.mark.parametrize("kind", ELEMENTWISE_KINDS)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_scalar(self, kind, data):
+        keys, times, weights, chunks, eps_ckpt = data.draw(elementwise_streams(kind))
+        scalar, batch = make_elementwise(kind, eps_ckpt), make_elementwise(kind, eps_ckpt)
+        scalar_result = run_scalar(scalar, keys, times, weights)
+        batch_result = run_batched(batch, keys, times, weights, chunks)
+        assert scalar_result == batch_result
+        assert state_of(scalar) == state_of(batch)
+
+    @pytest.mark.parametrize("kind", ELEMENTWISE_KINDS)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mid_batch_rejection_applies_identical_prefix(self, kind, data):
+        keys, times, weights, chunks, eps_ckpt = data.draw(elementwise_streams(kind))
+        if not keys:
+            return
+        bad = data.draw(st.integers(0, len(keys) - 1))
+        weights = [1] * len(keys) if weights is None else list(weights)
+        fault = data.draw(st.sampled_from(
+            ["earlier", "nan", "zero", "fraction"] + (["negative"] if kind != "ccs" else [])
+        ))
+        if fault == "earlier":
+            times[bad] = times[bad - 1] - 0.5 if bad else float("-inf")
+        elif fault == "nan":
+            times[bad] = float("nan")
+        else:
+            weights[bad] = {"zero": 0, "fraction": 1.5, "negative": -1}[fault]
+        scalar, batch = make_elementwise(kind, eps_ckpt), make_elementwise(kind, eps_ckpt)
+        scalar_result = run_scalar(scalar, keys, times, weights)
+        batch_result = run_batched(batch, keys, times, weights, chunks)
+        assert scalar_result[0] is not None
+        assert scalar_result == batch_result
+        assert state_of(scalar) == state_of(batch)
+
+    @pytest.mark.parametrize("kind", ELEMENTWISE_KINDS)
+    def test_one_batch_matches_scalar_on_a_long_stream(self, kind):
+        """One 600-item batch whose cells record many times each."""
+        keys = [key % (1 << UNIVERSE_BITS) for key in KEYS]
+        weights = [int(w) + 1 for w in RNG.integers(0, 3, size=N)]
+        if kind == "ccs":
+            weights = [w if i % 3 else -w for i, w in enumerate(weights)]
+        scalar, batch = make_elementwise(kind, 0.01), make_elementwise(kind, 0.01)
+        run_scalar(scalar, keys, TIMESTAMPS, weights)
+        run_batched(batch, keys, TIMESTAMPS, weights, [])
+        assert state_of(scalar) == state_of(batch)
+        assert scalar.num_checkpoints() == batch.num_checkpoints() > 100

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.base import MonotoneViolation
-from repro.core.elementwise import ChainCountMin, ChainMisraGries
+from repro.core.elementwise import ChainCountMin, ChainCountSketch, ChainMisraGries
+from repro.persistent import AttpDyadicChainCountMin
 
 
 def zipf_stream(n, universe, seed=0, a=1.3):
@@ -170,3 +171,51 @@ class TestChainCountMin:
         ccm = ChainCountMin(width=16, eps_ckpt=0.1)
         with pytest.raises(ValueError):
             ccm.update(1, 1.0, weight=-1)
+
+
+class TestIntegralWeights:
+    """The linear chains count in int64 cells: a fractional weight is
+    rejected on both paths before any state changes; 1.0 is accepted."""
+
+    FRACTIONAL = "weight must be integral"
+
+    @pytest.mark.parametrize("make", [
+        lambda: ChainCountMin(width=16, eps_ckpt=0.1),
+        lambda: ChainCountSketch(width=16, eps_ckpt=0.1),
+        lambda: AttpDyadicChainCountMin(universe_bits=4, eps=0.25),
+    ])
+    @pytest.mark.parametrize("weight", [1.5, 0.5, float("nan"), float("inf")])
+    def test_fractional_weight_rejected_by_update_and_update_batch(self, make, weight):
+        for feed in (
+            lambda chain: chain.update(5, 1.0, weight),
+            lambda chain: chain.update_batch([5], [1.0], [weight]),
+        ):
+            chain = make()
+            with pytest.raises(ValueError, match=self.FRACTIONAL):
+                feed(chain)
+            assert chain.count == 0
+            assert chain.num_checkpoints() == 0
+            assert chain.total_weight_at(1.0) == 0.0
+
+    def test_countmin_update_keeps_table_and_total_weight_in_step(self):
+        ccm = ChainCountMin(width=16, eps_ckpt=0.1)
+        with pytest.raises(ValueError, match=self.FRACTIONAL):
+            ccm.update(5, 1.0, 1.5)
+        assert ccm.total_weight == 0
+        assert not ccm._cm.counters().any()
+
+    def test_countsketch_batch_reports_fractional_not_zero(self):
+        ccs = ChainCountSketch(width=16, eps_ckpt=0.1)
+        with pytest.raises(ValueError, match=self.FRACTIONAL):
+            ccs.update_batch([5], [1.0], weights=[0.5])
+
+    @pytest.mark.parametrize("cls", [ChainCountMin, ChainCountSketch])
+    def test_integral_float_weights_accepted(self, cls):
+        ints, floats = cls(width=16, eps_ckpt=0.1), cls(width=16, eps_ckpt=0.1)
+        ints.update(3, 0.0, 2)
+        floats.update(3, 0.0, 2.0)
+        ints.update_batch([4, 5], [1.0, 2.0], [1, 3])
+        floats.update_batch([4, 5], [1.0, 2.0], np.array([1.0, 3.0]))
+        assert ints.total_weight == floats.total_weight == 6
+        assert np.array_equal(ints._sketch.counters(), floats._sketch.counters())
+        assert ints.estimate_at(5, 2.0) == floats.estimate_at(5, 2.0)

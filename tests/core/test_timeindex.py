@@ -1,5 +1,7 @@
 """Tests for History and GeometricHistory."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,33 @@ class TestGeometricHistory:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             GeometricHistory(delta=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 50), max_size=60),
+        st.lists(st.integers(0, 20), min_size=1, max_size=4),
+        st.sampled_from([0.01, 0.1, 1.0]),
+    )
+    def test_observe_batch_matches_observe_loop(self, steps, cuts, delta):
+        values = [float(v) for v in itertools.accumulate(steps)]
+        times = [float(i) for i in range(len(values))]
+        looped, batched = GeometricHistory(delta), GeometricHistory(delta)
+        for t, v in zip(times, values):
+            looped.observe(t, v)
+        start = 0
+        for cut in cuts + [len(values)]:
+            batched.observe_batch(times[start:start + cut], values[start:start + cut])
+            start = min(start + cut, len(values))
+        assert list(looped._history) == list(batched._history)
+        assert looped._last_recorded == batched._last_recorded
+
+    def test_observe_batch_rejects_a_decrease_whole(self):
+        g = GeometricHistory(delta=0.1)
+        g.observe(0.0, 10.0)
+        for values in ([12.0, 11.0], [9.0, 20.0]):
+            with pytest.raises(ValueError):
+                g.observe_batch([1.0, 2.0], values)
+        assert list(g._history) == [(0.0, 10.0)]
 
     def test_zero_before_first(self):
         g = GeometricHistory(delta=0.1)
