@@ -9,7 +9,10 @@ git revisions.  This script folds it back together:
 * a **trajectory** table — workload x commit, the primary metric of every
   git revision that touched the suite's JSON (oldest to newest), plus the
   latest/oldest ratio.  On a shallow CI checkout the trajectory degrades
-  to the current column alone rather than failing.
+  to the current column alone rather than failing.  Revisions recorded
+  in different environments (``cpu_count`` or ``quick_mode`` differ) are
+  never charted together: the trajectory breaks there, the break is
+  printed, and each run of same-environment revisions gets its own table.
 
 Run from the repo root::
 
@@ -27,6 +30,9 @@ import subprocess
 import sys
 
 RESULTS_DIR = pathlib.Path("benchmarks/results")
+
+# a BENCH record's environment: numbers are comparable only within one
+ENVIRONMENT_KEYS = ("cpu_count", "quick_mode")
 
 # the headline number of a workload row, first match wins
 PRIMARY_METRIC_KEYS = (
@@ -142,18 +148,26 @@ def snapshot_table(name: str, doc: dict) -> list:
     return lines
 
 
-def trajectory_table(name: str, path: pathlib.Path, current: dict) -> list:
-    revisions = _history(path)
-    if not revisions:
-        return [
-            f"### {name} (trajectory)", "",
-            "_no git history available (shallow clone or uncommitted "
-            "results) — see the current snapshot above_", "",
-        ]
-    if json.dumps(revisions[-1][2], sort_keys=True) != json.dumps(
-        current, sort_keys=True
-    ):
-        revisions.append(("worktree", "now", current))
+def _environment(doc: dict) -> tuple:
+    return tuple((key, doc.get(key)) for key in ENVIRONMENT_KEYS)
+
+
+def _describe(environment: tuple) -> str:
+    return ", ".join(f"{key}={value}" for key, value in environment)
+
+
+def environment_segments(revisions: list) -> list:
+    """Split ``[(sha, date, doc)]`` into runs recorded in one environment."""
+    segments = []
+    for revision in revisions:
+        if segments and _environment(segments[-1][-1][2]) == _environment(revision[2]):
+            segments[-1].append(revision)
+        else:
+            segments.append([revision])
+    return segments
+
+
+def _segment_table(revisions: list) -> list:
     columns = [f"{sha} ({date})" for sha, date, _ in revisions]
     workloads = []  # ordered union across revisions
     for _, _, doc in revisions:
@@ -161,7 +175,6 @@ def trajectory_table(name: str, path: pathlib.Path, current: dict) -> list:
             if workload not in workloads:
                 workloads.append(workload)
     lines = [
-        f"### {name} (trajectory)", "",
         "| workload | " + " | ".join(columns) + " | latest/oldest |",
         "|---|" + "---:|" * (len(columns) + 1),
     ]
@@ -179,7 +192,32 @@ def trajectory_table(name: str, path: pathlib.Path, current: dict) -> list:
             else "-"
         )
         lines.append(f"| {workload} | " + " | ".join(cells) + f" | {ratio} |")
-    lines.append("")
+    return lines
+
+
+def trajectory_table(name: str, path: pathlib.Path, current: dict) -> list:
+    revisions = _history(path)
+    if not revisions:
+        return [
+            f"### {name} (trajectory)", "",
+            "_no git history available (shallow clone or uncommitted "
+            "results) — see the current snapshot above_", "",
+        ]
+    if json.dumps(revisions[-1][2], sort_keys=True) != json.dumps(
+        current, sort_keys=True
+    ):
+        revisions.append(("worktree", "now", current))
+    lines = [f"### {name} (trajectory)", ""]
+    segments = environment_segments(revisions)
+    for previous, segment in zip([None] + segments, segments):
+        environment = _describe(_environment(segment[0][2]))
+        if previous is not None:
+            lines += [
+                f"_environment break at {segment[0][0]}: "
+                f"{_describe(_environment(previous[0][2]))} -> {environment}; "
+                "not charted across_", "",
+            ]
+        lines += [f"_{environment}_", ""] + _segment_table(segment) + [""]
     return lines
 
 

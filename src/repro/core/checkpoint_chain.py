@@ -213,6 +213,37 @@ class CheckpointChain:
         """Iterate ``(timestamp, snapshot)`` pairs (oldest first)."""
         return iter(self._checkpoints)
 
+    def persist_since(self, marker: int) -> tuple:
+        """Delta-snapshot hook: ``(head, sealed, new_marker)``.
+
+        A sealed checkpoint never changes (Lemma 4.1's chain only appends),
+        so a durable store persists each one once.  ``marker`` counts the
+        checkpoints already persisted; ``sealed`` is the list of
+        ``(timestamp, snapshot)`` pairs sealed since, and ``new_marker`` the
+        count after them.  ``head`` is everything else — the live sketch,
+        the guard, the weights and counts — as a chain whose history is
+        empty: small, and rewritten by every snapshot.
+        """
+        if not 0 <= marker <= len(self._checkpoints):
+            raise ValueError(
+                f"marker {marker} outside the {len(self._checkpoints)} "
+                f"sealed checkpoints"
+            )
+        head = copy.copy(self)
+        head._checkpoints = History()
+        return head, self._checkpoints.entries(marker), len(self._checkpoints)
+
+    def restore(self, head: "CheckpointChain", sealed) -> None:
+        """Inverse of :meth:`persist_since`: adopt ``head`` plus ``sealed``.
+
+        ``sealed`` holds every persisted checkpoint, oldest first (the
+        concatenation of the deltas).  Afterwards this chain answers
+        exactly as the chain ``head`` was taken from.
+        """
+        self.__dict__.update(vars(head))
+        self._checkpoints = History()
+        self._checkpoints.extend(sealed)
+
     def checkpoints_between(self, start: float, end: float) -> list:
         """Timestamps of stored checkpoints with ``start <= ts <= end``.
 

@@ -54,6 +54,19 @@ class History:
         """Index of the last entry at or before ``timestamp``, or ``-1``."""
         return bisect.bisect_right(self._times, timestamp) - 1
 
+    def extend(self, entries) -> None:
+        """:meth:`append` each ``(timestamp, value)`` pair in turn."""
+        for timestamp, value in entries:
+            self.append(timestamp, value)
+
+    def entries(self, start: int = 0) -> List[Tuple[float, Any]]:
+        """The ``(timestamp, value)`` pairs from index ``start`` on, oldest first.
+
+        Copies only the slice, so reading the tail of a long history costs
+        the tail's length, not the history's.
+        """
+        return list(zip(self._times[start:], self._values[start:]))
+
     def times(self) -> List[float]:
         """A copy of the recorded timestamps (non-decreasing order)."""
         return list(self._times)

@@ -7,7 +7,12 @@ since that snapshot.  Recovery therefore:
 
 1. loads the newest snapshot that passes the framed-format integrity checks
    (older ones are kept as fallbacks; a corrupt one is renamed to
-   ``*.corrupt`` and the next-newest is tried);
+   ``*.corrupt`` and the next-newest is tried).  A :class:`DeltaSnapshot`
+   holds only the structure's head and names a prefix of the append-only
+   ``sealed.log``; it counts as valid only when every frame of that prefix
+   verifies, and the head is then restored together with the sealed
+   entries the prefix holds.  Bytes past the prefix are residue of a
+   snapshot that never completed (the store truncates them later);
 2. scans WAL segments in order, replaying records with ``seqno`` beyond the
    snapshot through :func:`repro.core.apply_stream_update` — the same
    dispatch used at ingest time, so replay is bit-for-bit identical;
@@ -40,7 +45,7 @@ from repro.durability.wal import (
     list_segments,
     scan_segment,
 )
-from repro.io import SketchFileError, load_sketch
+from repro.io import SketchFileError, decode_frames, load_sketch
 from repro.telemetry.registry import TELEMETRY as _TEL, timed
 from repro.telemetry.spans import span
 
@@ -62,6 +67,9 @@ _RECOVERY_SECONDS = _TEL.histogram(
 )
 
 SNAPSHOT_PATTERN = re.compile(r"^snapshot-(\d{16})\.sketch$")
+
+#: The append-only log of sealed entries that delta snapshots point into.
+SEALED_LOG = "sealed.log"
 
 
 def snapshot_name(seqno: int) -> str:
@@ -99,6 +107,19 @@ class Snapshot:
 
 
 @dataclass
+class DeltaSnapshot(Snapshot):
+    """A snapshot of a structure with append-only history.
+
+    ``sketch`` is the structure's head (its ``persist_since`` output); the
+    sealed entries live in the first ``sealed_bytes`` bytes of
+    ``sealed.log``, ``sealed_count`` of them in all.
+    """
+
+    sealed_count: int = 0
+    sealed_bytes: int = 0
+
+
+@dataclass
 class RecoveryResult:
     """Everything :func:`recover` learned while rebuilding the sketch."""
 
@@ -113,6 +134,8 @@ class RecoveryResult:
     truncated_segment: Optional[Path] = None
     quarantined: List[Path] = field(default_factory=list)
     corruption_detail: str = ""
+    sealed_count: int = 0  # sealed entries restored from sealed.log
+    sealed_bytes: int = 0  # the verified sealed.log prefix they came from
 
     @property
     def clean(self) -> bool:
@@ -131,20 +154,60 @@ def _quarantine(fs: OsFilesystem, path: Path, suffix: str) -> Path:
 
 
 def _load_newest_snapshot(
-    directory: Path, fs: OsFilesystem, result_quarantined: List[Path]
+    directory: Path,
+    fs: OsFilesystem,
+    result_quarantined: List[Path],
+    factory: Optional[Callable[[], Any]],
 ) -> tuple:
-    """Newest loadable snapshot as ``(snapshot, path)``; corrupt ones moved aside."""
+    """Newest loadable snapshot as ``(snapshot, path)``; corrupt ones moved aside.
+
+    A :class:`DeltaSnapshot` comes back with its head already restored
+    (into ``factory()`` when there is a factory, so wrappers it builds
+    survive; into the head itself otherwise).
+    """
+    log = None
     for path in list_snapshots(directory):
         try:
-            snapshot = load_sketch(path, expected_class=Snapshot)
+            snapshot = load_sketch(path, expected_class=(Snapshot, DeltaSnapshot))
+            if snapshot.seqno != snapshot_seqno(path):
+                raise SketchFileError(f"{path}: seqno does not match its name")
+            if isinstance(snapshot, DeltaSnapshot):
+                if log is None:
+                    log_path = directory / SEALED_LOG
+                    log = log_path.read_bytes() if log_path.exists() else b""
+                snapshot.sketch = _restore_delta(snapshot, log, directory, factory)
         except SketchFileError:
-            result_quarantined.append(_quarantine(fs, path, ".corrupt"))
-            continue
-        if snapshot.seqno != snapshot_seqno(path):
             result_quarantined.append(_quarantine(fs, path, ".corrupt"))
             continue
         return snapshot, path
     return None, None
+
+
+def _restore_delta(
+    snapshot: DeltaSnapshot, log: bytes, directory: Path, factory
+) -> Any:
+    """Verify the snapshot's ``sealed.log`` prefix and restore its head."""
+    origin = str(directory / SEALED_LOG)
+    if len(log) < snapshot.sealed_bytes:
+        raise SketchFileError(
+            f"{origin}: {len(log)} bytes, snapshot needs {snapshot.sealed_bytes}"
+        )
+    sealed = [
+        entry
+        for frame in decode_frames(
+            memoryview(log)[: snapshot.sealed_bytes], origin, expected_class=list
+        )
+        for entry in frame
+    ]
+    if len(sealed) != snapshot.sealed_count:
+        raise SketchFileError(
+            f"{origin}: prefix holds {len(sealed)} sealed entries, "
+            f"snapshot needs {snapshot.sealed_count}"
+        )
+    head = snapshot.sketch
+    target = head if factory is None else factory()
+    target.restore(head, sealed)
+    return target
 
 
 @timed(_RECOVERY_SECONDS)
@@ -159,7 +222,8 @@ def recover(
 
     ``factory`` builds the empty sketch when no usable snapshot exists (it
     must construct it exactly as the original run did — same parameters,
-    same seed — for replay to reproduce the same state).  With ``strict``
+    same seed — for replay to reproduce the same state); a delta
+    snapshot's head is restored into a fresh ``factory()`` too.  With ``strict``
     (default), interior WAL corruption raises :class:`WalCorruptionError`
     after quarantining the damaged segment; with ``strict=False`` replay
     stops at the damage and the partial state is returned.
@@ -183,7 +247,9 @@ def _recover_inner(
         raise SketchFileError(f"{directory}: not a directory")
 
     quarantined: List[Path] = []
-    snapshot, snapshot_path = _load_newest_snapshot(directory, fs, quarantined)
+    snapshot, snapshot_path = _load_newest_snapshot(
+        directory, fs, quarantined, factory
+    )
     if snapshot is not None:
         sketch = snapshot.sketch
         base_seqno = snapshot.seqno
@@ -202,6 +268,9 @@ def _recover_inner(
         snapshot_path=snapshot_path,
         quarantined=quarantined,
     )
+    if isinstance(snapshot, DeltaSnapshot):
+        result.sealed_count = snapshot.sealed_count
+        result.sealed_bytes = snapshot.sealed_bytes
 
     segments = list_segments(directory)
     for position, path in enumerate(segments):

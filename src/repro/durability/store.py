@@ -6,10 +6,16 @@ The write path is the classic WAL protocol:
    the :class:`~repro.durability.wal.WriteAheadLog` **first**;
 2. only then is the update applied to the in-memory sketch (through
    :func:`repro.core.apply_stream_update`, the same dispatch replay uses);
-3. every ``snapshot_every`` accepted updates, the whole sketch is written
-   as a framed snapshot (``repro.io`` format) via an atomic, fsynced
-   temp-file rename, and *only after* the snapshot is durable are the WAL
-   segments it covers deleted.
+3. every ``snapshot_every`` accepted updates, a framed snapshot
+   (``repro.io`` format) is written via an atomic, fsynced temp-file
+   rename, and *only after* the snapshot is durable are the WAL segments
+   it covers deleted.  For most sketches the snapshot holds the whole
+   sketch.  A structure whose history is append-only (it has
+   ``persist_since`` / ``restore``, as :class:`~repro.core.CheckpointChain`
+   does) is written as a delta instead: the entries sealed since the last
+   snapshot are appended as one frame to ``sealed.log`` and fsynced, and
+   only then is the small head snapshot written, naming the log prefix it
+   needs.  A sealed entry is thus written once, not once per snapshot.
 
 Consequences:
 
@@ -39,7 +45,14 @@ import numpy as np
 from repro.core.base import apply_stream_batch, apply_stream_update, check_batch_lengths
 from repro.core.batch import StreamBatch
 from repro.durability.faults import OsFilesystem
-from repro.durability.recovery import Snapshot, list_snapshots, recover, snapshot_name
+from repro.durability.recovery import (
+    SEALED_LOG,
+    DeltaSnapshot,
+    Snapshot,
+    list_snapshots,
+    recover,
+    snapshot_name,
+)
 from repro.durability.wal import WriteAheadLog, list_segments
 from repro.io import encode_sketch
 from repro.telemetry.registry import TELEMETRY as _TEL, timed
@@ -56,6 +69,11 @@ _REJECTED = _TEL.counter(
 _SNAPSHOT_SECONDS = _TEL.histogram(
     "store_snapshot_seconds",
     "Wall time of one snapshot (WAL flush + encode + atomic write + truncate).",
+)
+_SNAPSHOT_BYTES = _TEL.histogram(
+    "store_snapshot_bytes",
+    "Bytes one snapshot writes: the snapshot file plus any sealed-log frame.",
+    buckets=tuple(m * 10.0 ** e for e in range(2, 10) for m in (1, 2.5, 5)),
 )
 
 
@@ -100,6 +118,11 @@ class DurableSketch:
         self._updates_since_snapshot = max(0, applied_seqno - snapshot_seqno)
         self.snapshots_taken = 0
         self.updates_rejected = 0
+        # Delta snapshots: sealed entries persisted so far and the sealed.log
+        # prefix holding them.  The log opens lazily, at the first frame.
+        self._sealed_count = 0
+        self._sealed_bytes = 0
+        self._sealed_log = None
         self.wal = WriteAheadLog(
             self.directory,
             fs=self.fs,
@@ -139,6 +162,8 @@ class DurableSketch:
                 snapshot_seqno=result.snapshot_seqno,
                 **options,
             )
+            store._sealed_count = result.sealed_count
+            store._sealed_bytes = result.sealed_bytes
             store.last_recovery = result
             return store
         store = cls(factory(), directory, **options)
@@ -238,30 +263,73 @@ class DurableSketch:
     def snapshot(self) -> Path:
         """Write a durable snapshot, then truncate the WAL it covers.
 
-        The ordering is the whole point: WAL flush → snapshot bytes fsynced
-        → atomic rename → directory fsync → *only then* segment deletion.
+        The ordering is the whole point: WAL flush → any new sealed entries
+        appended to ``sealed.log`` and fsynced → snapshot bytes fsynced →
+        atomic rename → directory fsync → *only then* segment deletion.
         A crash anywhere in between leaves a recoverable directory.
         """
         with span("store.snapshot"):
             self.wal.flush()
             seqno = self.applied_seqno
-            payload = Snapshot(self._sketch, seqno, wall_time=time.time())
+            persist_since = getattr(self._sketch, "persist_since", None)
+            if persist_since is None:
+                payload = Snapshot(self._sketch, seqno, wall_time=time.time())
+                frame_bytes = 0
+            else:
+                head, sealed, marker = persist_since(self._sealed_count)
+                frame_bytes = self._append_sealed(sealed) if sealed else 0
+                self._sealed_count = marker
+                payload = DeltaSnapshot(
+                    head, seqno, time.time(), marker, self._sealed_bytes
+                )
             path = self.directory / snapshot_name(seqno)
-            self.fs.write_atomic(path, encode_sketch(payload), durable=True)
+            written = self.fs.write_atomic(path, encode_sketch(payload), durable=True)
             self.last_snapshot_seqno = seqno
             self._updates_since_snapshot = 0
             self.snapshots_taken += 1
             if _TEL.enabled:
                 _SNAPSHOTS.inc()
+                _SNAPSHOT_BYTES.observe(written + frame_bytes)
             self.wal.truncate_through(seqno)
             self._prune_snapshots()
         return path
 
+    def _append_sealed(self, sealed: list) -> int:
+        """Append ``sealed`` as one frame to ``sealed.log`` and fsync it.
+
+        Returns the frame's size.  The log opens on first use; bytes past
+        the known-good prefix then are residue of a snapshot that never
+        completed, and are cut off first.  If the append or fsync fails the
+        handle is dropped, so the next attempt cuts the partial frame too.
+        """
+        if self._sealed_log is None:
+            path = self.directory / SEALED_LOG
+            if path.exists() and path.stat().st_size > self._sealed_bytes:
+                self.fs.truncate(path, self._sealed_bytes)
+            self._sealed_log = self.fs.open_append(path)
+        frame = encode_sketch(sealed)
+        try:
+            self.fs.append(self._sealed_log, frame)
+            self.fs.fsync(self._sealed_log)
+        except BaseException:
+            self._close_sealed_log()
+            raise
+        self._sealed_bytes += len(frame)
+        return len(frame)
+
+    def _close_sealed_log(self) -> None:
+        if self._sealed_log is not None:
+            self._sealed_log.close()
+            self._sealed_log = None
+
     def _prune_snapshots(self) -> None:
-        """Keep the newest ``keep_snapshots`` snapshots as fallbacks."""
+        """Keep the newest ``keep_snapshots`` snapshots as fallbacks.
+
+        The removals need no directory fsync: an old snapshot that a crash
+        brings back is one more valid fallback, pruned by the next snapshot.
+        """
         for path in list_snapshots(self.directory)[self.keep_snapshots :]:
             self.fs.remove(path)
-        self.fs.fsync_dir(self.directory)
 
     # -- lifecycle / introspection ------------------------------------------
 
@@ -293,6 +361,7 @@ class DurableSketch:
         else:
             self.wal.flush()
         self.wal.close()
+        self._close_sealed_log()
 
     def __enter__(self) -> "DurableSketch":
         return self

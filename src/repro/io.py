@@ -17,7 +17,10 @@ temporary sibling file which is fsynced, atomically renamed over the target,
 and the parent directory is fsynced — so after ``save_sketch`` returns, the
 file survives power loss, and a crash mid-save leaves the old file intact.
 The :mod:`repro.durability` subsystem builds its snapshots on the same
-format via :func:`encode_sketch` / :func:`decode_sketch`.
+format via :func:`encode_sketch` / :func:`decode_sketch`.  A frame carries
+its own length, so frames can also be appended back to back to an
+append-only log; :func:`decode_frames` reads such a log, verifying every
+frame — the durable store keeps sealed checkpoints this way.
 
 SECURITY: the payload is still a pickle — load sketch files only from
 sources you trust, exactly as you would a pickle.
@@ -82,30 +85,33 @@ def encode_sketch(sketch: Any) -> bytes:
     return buffer.getvalue()
 
 
-def _parse_frame(data: bytes, origin: str) -> dict:
-    """Validate the frame around ``data`` and return its metadata.
+def _parse_frame(data, origin: str, start: int = 0, whole: bool = True) -> dict:
+    """Validate the frame at ``data[start:]`` and return its metadata.
 
     ``origin`` names the source (a path, "<memory>") for error messages.
-    Does not verify the payload digest — callers that intend to unpickle
-    must check it against ``data[meta['payload_offset']:]`` first.
+    With ``whole`` the frame must end exactly at the end of ``data``;
+    otherwise it may be followed by more frames (``meta['end']`` is where
+    the next one starts).  Does not verify the payload digest — callers
+    that intend to unpickle go through :func:`_decode_payload`.
     """
-    if len(data) < _HEADER.size:
+    if len(data) < start + _HEADER.size:
         raise SketchFileError(f"{origin}: too short to be a sketch file")
-    magic, version, class_length = _HEADER.unpack_from(data, 0)
+    magic, version, class_length = _HEADER.unpack_from(data, start)
     if magic != MAGIC:
         raise SketchFileError(f"{origin}: not a sketch file (bad magic)")
     if version != FORMAT_VERSION:
         raise SketchFileError(
             f"{origin}: format version {version} unsupported (expected {FORMAT_VERSION})"
         )
-    offset = _HEADER.size
+    offset = start + _HEADER.size
     if len(data) < offset + class_length + _PAYLOAD.size:
         raise SketchFileError(f"{origin}: truncated header")
-    stored_class = data[offset : offset + class_length].decode("utf-8")
+    stored_class = bytes(data[offset : offset + class_length]).decode("utf-8")
     offset += class_length
     payload_length, digest = _PAYLOAD.unpack_from(data, offset)
     offset += _PAYLOAD.size
-    if len(data) != offset + payload_length:
+    end = offset + payload_length
+    if len(data) < end or (whole and len(data) != end):
         raise SketchFileError(
             f"{origin}: payload length mismatch "
             f"(header says {payload_length}, file has {len(data) - offset})"
@@ -115,31 +121,53 @@ def _parse_frame(data: bytes, origin: str) -> dict:
         "payload_bytes": payload_length,
         "digest": digest,
         "payload_offset": offset,
+        "end": end,
     }
+
+
+def _decode_payload(data, meta: dict, origin: str, expected_class: Any) -> Any:
+    """Check the class pin and the digest of a parsed frame, then unpickle.
+
+    ``expected_class`` is a class, a dotted path, or a tuple of either.
+    """
+    if expected_class is not None:
+        expected = expected_class if isinstance(expected_class, tuple) else (expected_class,)
+        paths = [c if isinstance(c, str) else class_path(c) for c in expected]
+        if meta["class"] not in paths:
+            raise SketchFileError(
+                f"{origin}: holds a {meta['class']}, expected {' or '.join(paths)}"
+            )
+    payload = memoryview(data)[meta["payload_offset"] : meta["end"]]
+    if hashlib.sha256(payload).digest() != meta["digest"]:
+        raise SketchFileError(f"{origin}: payload digest mismatch (corrupt file)")
+    return pickle.loads(payload)
 
 
 def decode_sketch(data: bytes, origin: str = "<memory>", expected_class: Any = None) -> Any:
     """Decode framed bytes produced by :func:`encode_sketch`, verifying them.
 
-    ``expected_class`` (a class or dotted path string) additionally pins the
-    stored type — pass it whenever the caller knows what it expects, so a
-    mixed-up file fails before any state is used.
+    ``expected_class`` (a class or dotted path string, or a tuple of them)
+    additionally pins the stored type — pass it whenever the caller knows
+    what it expects, so a mixed-up file fails before any state is used.
     """
-    meta = _parse_frame(data, origin)
-    if expected_class is not None:
-        expected_path = (
-            expected_class
-            if isinstance(expected_class, str)
-            else class_path(expected_class)
-        )
-        if meta["class"] != expected_path:
-            raise SketchFileError(
-                f"{origin}: holds a {meta['class']}, expected {expected_path}"
-            )
-    payload = data[meta["payload_offset"] :]
-    if hashlib.sha256(payload).digest() != meta["digest"]:
-        raise SketchFileError(f"{origin}: payload digest mismatch (corrupt file)")
-    return pickle.loads(payload)
+    return _decode_payload(data, _parse_frame(data, origin), origin, expected_class)
+
+
+def decode_frames(data: bytes, origin: str = "<memory>", expected_class: Any = None) -> list:
+    """Decode back-to-back :func:`encode_sketch` frames, verifying each one.
+
+    An append-only log of frames (the durable store's ``sealed.log``) is
+    read this way: every frame's length, class pin and digest are checked
+    before it is unpickled, and any damage raises :class:`SketchFileError`
+    naming the byte offset of the bad frame.
+    """
+    decoded, offset = [], 0
+    while offset < len(data):
+        where = f"{origin}@{offset}"
+        meta = _parse_frame(data, where, offset, whole=False)
+        decoded.append(_decode_payload(data, meta, where, expected_class))
+        offset = meta["end"]
+    return decoded
 
 
 def save_sketch(sketch: Any, path) -> int:

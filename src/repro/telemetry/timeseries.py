@@ -235,17 +235,21 @@ class MetricPoller:
         updated = 0
         with self._lock:
             for family in self._registry.families():
-                for labels, child in family.samples():
-                    key = (family.name, tuple(sorted(labels.items())))
-                    if family.kind == "counter":
-                        updated += self._tick_counter(key, family.name,
-                                                      labels, child, now)
-                    elif family.kind == "gauge":
-                        updated += self._tick_gauge(key, family.name,
-                                                    labels, child, now)
+                kind, children = family.kind, family.children
+                # The family's label keys are already sorted tuples, so a
+                # series key costs one tuple; label dicts are built only
+                # when a series is first created.
+                for label_key in sorted(children):
+                    child = children.get(label_key)
+                    if child is None:  # removed since the sort
+                        continue
+                    key = (family.name, label_key)
+                    if kind == "counter":
+                        updated += self._tick_counter(key, child, now)
+                    elif kind == "gauge":
+                        updated += self._tick_gauge(key, child, now)
                     else:
-                        updated += self._tick_histogram(key, family.name,
-                                                        labels, child, now)
+                        updated += self._tick_histogram(key, child, now)
             self._ticks += 1
             live = len(self._series)
         if _TEL.enabled:
@@ -259,22 +263,26 @@ class MetricPoller:
                 pass
         return updated
 
-    def _get_series(self, key: Tuple, name: str, labels: Dict[str, str],
-                    kind: str) -> Optional[TimeSeries]:
+    def _get_series(self, key: Tuple, kind: str,
+                    extra: Optional[Dict[str, str]] = None) -> Optional[TimeSeries]:
+        """The series under ``key`` — ``(name, label_key, *suffix)`` —
+        created on first use with ``extra`` labels added."""
         series = self._series.get(key)
         if series is None:
             if len(self._series) >= self.max_series:
                 if _TEL.enabled:
                     _SERIES_DROPPED.inc()
                 return None
-            series = TimeSeries(name, labels, kind, self.capacity)
+            labels = dict(key[1])
+            labels.update(extra or {})
+            series = TimeSeries(key[0], labels, kind, self.capacity)
             self._series[key] = series
         return series
 
-    def _tick_counter(self, key, name, labels, child, now) -> int:
+    def _tick_counter(self, key, child, now) -> int:
         value = child.value
         updated = 0
-        series = self._get_series(key, name, labels, "counter")
+        series = self._get_series(key, "counter")
         if series is not None:
             series.append(now, value)
             updated += 1
@@ -289,28 +297,27 @@ class MetricPoller:
         delta = value - prev_value
         if delta < 0:  # registry.reset() between ticks: treat as restart
             delta = value
-        rate_key = key + ("rate",)
-        rate = self._get_series(rate_key, name, labels, "rate")
+        rate = self._get_series(key + ("rate",), "rate")
         if rate is not None:
             rate.append(now, delta / elapsed)
             updated += 1
         return updated
 
-    def _tick_gauge(self, key, name, labels, child, now) -> int:
-        series = self._get_series(key, name, labels, "gauge")
+    def _tick_gauge(self, key, child, now) -> int:
+        series = self._get_series(key, "gauge")
         if series is None:
             return 0
         series.append(now, child.value)
         return 1
 
-    def _tick_histogram(self, key, name, labels, child, now) -> int:
+    def _tick_histogram(self, key, child, now) -> int:
         with child._lock:  # noqa: SLF001 — consistent triple read
             counts = list(child.bucket_counts)
             count = child.count
         prev = self._prev_hist.get(key)
         self._prev_hist[key] = (counts, count, 0.0)
-        if prev is None:
-            return 0
+        if prev is None or count == prev[1]:
+            return 0  # first sight, or no traffic in the window
         prev_counts, prev_count, _ = prev
         if count < prev_count:  # reset: this lifetime *is* the window
             deltas = counts
@@ -321,10 +328,9 @@ class MetricPoller:
             return 0  # no traffic in the window: append nothing
         updated = 0
         for label, q in self._quantiles:
-            q_labels = dict(labels)
-            q_labels["quantile"] = label
-            q_key = key + ("quantile", label)
-            series = self._get_series(q_key, name, q_labels, "quantile")
+            series = self._get_series(
+                key + ("quantile", label), "quantile", {"quantile": label}
+            )
             if series is not None:
                 series.append(now, delta_quantile(child.bounds, deltas, q))
                 updated += 1

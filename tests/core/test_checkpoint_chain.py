@@ -114,3 +114,42 @@ class TestCheckpointChain:
         breakdown = chain.memory_breakdown()
         assert sum(breakdown.values()) == chain.memory_bytes()
         assert breakdown["chain_entries"] == chain.num_checkpoints() * 16
+
+
+class TestPersistSince:
+    """The delta-snapshot protocol: each sealed checkpoint ships once."""
+
+    def _chain(self, n):
+        chain = CheckpointChain(lambda: CountMinSketch(64, 3, seed=2), eps=0.1)
+        for index in range(n):
+            chain.update(index % 7, float(index))
+        return chain
+
+    def test_deltas_concatenate_to_the_history(self):
+        chain = self._chain(300)
+        head, sealed, marker = chain.persist_since(0)
+        assert marker == chain.num_checkpoints() == len(sealed)
+        assert head.num_checkpoints() == 0 and head.live is chain.live
+        for index in range(300, 3_000):
+            chain.update(index % 7, float(index))
+        _, more, later = chain.persist_since(marker)
+        assert later == chain.num_checkpoints() == marker + len(more)
+        assert [ts for ts, _ in sealed + more] == [ts for ts, _ in chain.checkpoints()]
+
+    def test_restore_answers_like_the_original(self):
+        chain = self._chain(2_000)
+        head, sealed, _ = chain.persist_since(0)
+        restored = CheckpointChain(lambda: CountMinSketch(64, 3, seed=2), eps=0.1)
+        restored.restore(head, sealed)
+        for t in (0.0, 50.0, 999.0, 1_999.0):
+            assert np.array_equal(
+                restored.sketch_at(t).counters(), chain.sketch_at(t).counters()
+            )
+        assert restored.count == chain.count
+        with pytest.raises(MonotoneViolation):
+            restored.update(1, 10.0)
+
+    def test_marker_past_the_history_is_rejected(self):
+        chain = self._chain(100)
+        with pytest.raises(ValueError, match="marker"):
+            chain.persist_since(chain.num_checkpoints() + 1)

@@ -74,6 +74,15 @@ class TestHistory:
                     expected = index
             assert h.value_at(probe) == expected
 
+    def test_entries_slice_and_extend_round_trip(self):
+        h = History()
+        h.extend([(1.0, "a"), (2.0, "b"), (2.0, "c")])
+        assert h.entries() == [(1.0, "a"), (2.0, "b"), (2.0, "c")]
+        assert h.entries(2) == [(2.0, "c")]
+        assert h.entries(3) == []
+        with pytest.raises(ValueError):
+            h.extend([(1.5, "late")])
+
 
 class TestGeometricHistory:
     def test_underestimates_within_factor(self):

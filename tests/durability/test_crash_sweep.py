@@ -10,20 +10,30 @@ must produce a sketch whose ``count`` and ATTP/BITP query answers exactly
 match a never-crashed reference run over the recovered prefix, and must
 never lose an acknowledged update (``fsync_policy='always'``).
 
+A third pass sweeps a :class:`~repro.core.CheckpointChain`, whose snapshots
+are deltas: the sealed-log appends, fsyncs and the crash-residue truncate
+are kill points too.
+
 Marked ``crash`` so CI can run the sweep as its own job; it also runs in the
 plain tier-1 suite (``pytest`` with no ``-m`` filter).
 """
 
+import functools
+from pathlib import Path
+
 import pytest
 
+from repro.core import CheckpointChain
 from repro.durability import (
     DurableSketch,
     FaultPlan,
     FaultyFilesystem,
+    OsFilesystem,
     SimulatedCrash,
     recover,
 )
 from repro.persistent import AttpSampleHeavyHitter, BitpSampleHeavyHitter
+from repro.sketches import CountMinSketch
 
 pytestmark = pytest.mark.crash
 
@@ -105,18 +115,23 @@ def category(label):
         return f"{kind}:wal"
     if name.startswith("snapshot-"):
         return f"{kind}:snapshot"
+    if name.startswith("sealed"):
+        return f"{kind}:sealed"
     return kind
 
 
-def kill_points(ops):
-    """Pick sweep points: first / middle / last op of every category,
-    in every applicable crash mode."""
+def kill_points(ops, spread=lambda cat: True):
+    """Pick sweep points: first / middle / last op of every category (only
+    the middle one where ``spread(category)`` is false), in every
+    applicable crash mode."""
     by_category = {}
     for op in ops:
         by_category.setdefault(category(op.label), []).append(op.index)
     points = []
     for cat, indices in sorted(by_category.items()):
         chosen = sorted({indices[0], indices[len(indices) // 2], indices[-1]})
+        if not spread(cat):
+            chosen = [indices[len(indices) // 2]]
         writes = cat.startswith(("append", "write"))
         modes = ("before", "after", "torn") if writes else ("before", "after")
         for index in chosen:
@@ -255,3 +270,109 @@ class TestBitpKillPoints:
             assert bitp_answers(result.sketch, recovered) == reference_answers(
                 bitp_factory, recovered, bitp_answers
             )
+
+
+# -- delta snapshots: a CheckpointChain(CountMin) pass ------------------------
+
+CHAIN_UPDATES = 4_000
+CHAIN_SNAPSHOT_EVERY = 800
+
+
+def chain_factory():
+    return CheckpointChain(functools.partial(CountMinSketch, 64, 3, 5), eps=0.05)
+
+
+def chain_state(chain):
+    """Everything a chain answers from, in comparable form."""
+    return (
+        chain.count,
+        chain.total_weight,
+        chain._guard.last,
+        chain.live.counters().tobytes(),
+        [(ts, snap.counters().tobytes()) for ts, snap in chain.checkpoints()],
+    )
+
+
+class _CrashAtFirstHeadRename(OsFilesystem):
+    """Dies just before the first snapshot rename: its sealed frame is
+    fsynced in ``sealed.log`` but no snapshot names it."""
+
+    def replace(self, source, destination):
+        if Path(destination).name.startswith("snapshot-"):
+            raise SimulatedCrash("crash before the first snapshot rename")
+        super().replace(source, destination)
+
+
+def chain_store(directory, fs):
+    return DurableSketch.open(
+        chain_factory,
+        directory,
+        fs=fs,
+        fsync_policy="always",
+        snapshot_every=CHAIN_SNAPSHOT_EVERY,
+        segment_bytes=SEGMENT_BYTES,
+    )
+
+
+def chain_ingest(directory, fs):
+    """Leave sealed-log residue, then resume under ``fs``.
+
+    Returns ``(start, acked)``: the count recovered at the resume, and the
+    updates acknowledged after it.  The resume's first snapshot truncates
+    the residue, so the sweep's trace holds a ``truncate:sealed.log``.
+    """
+    try:
+        store = chain_store(directory, _CrashAtFirstHeadRename())
+        for key, timestamp in stream(CHAIN_UPDATES):
+            store.update(key, timestamp)
+    except SimulatedCrash:
+        pass
+    acked = 0
+    store = chain_store(directory, fs)
+    start = store.count
+    try:
+        for key, timestamp in stream(CHAIN_UPDATES)[start:]:
+            store.update(key, timestamp)
+            acked += 1
+        store.close()
+    except SimulatedCrash:
+        pass
+    return start, acked
+
+
+_CHAIN_OPS = None
+
+
+def chain_kill_points():
+    global _CHAIN_OPS
+    if _CHAIN_OPS is None:
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as scratch:
+            fs = FaultyFilesystem()
+            chain_ingest(Path(scratch) / "trace", fs)
+            _CHAIN_OPS = fs.ops
+    # The ATTP pass already spreads over the WAL and snapshot-file ops.
+    return kill_points(_CHAIN_OPS, spread=lambda cat: cat.endswith(":sealed"))
+
+
+class TestChainDeltaKillPointSweep:
+    def test_trace_covers_the_sealed_log(self):
+        chain_kill_points()
+        categories = {category(op.label) for op in _CHAIN_OPS}
+        assert {"append:sealed", "fsync:sealed", "truncate:sealed"} <= categories
+
+    @pytest.mark.parametrize("crash_at,mode", chain_kill_points())
+    def test_recovery_matches_uncrashed_reference(self, tmp_path, crash_at, mode):
+        fs = FaultyFilesystem(FaultPlan(crash_at=crash_at, crash_mode=mode))
+        directory = tmp_path / "state"
+        start, acked = chain_ingest(directory, fs)
+        assert fs.crashed, "kill point was never reached"
+
+        result = recover(directory, chain_factory)
+        recovered = result.sketch.count
+        assert start + acked <= recovered <= start + acked + 1
+        reference = chain_factory()
+        for key, timestamp in stream(recovered):
+            reference.update(key, timestamp)
+        assert chain_state(result.sketch) == chain_state(reference)

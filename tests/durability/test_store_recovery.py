@@ -1,19 +1,30 @@
 """DurableSketch + recovery behaviour (no crash sweep here — see
 ``test_crash_sweep.py`` for the exhaustive kill-point version)."""
 
+import functools
 import pickle
+from pathlib import Path
 
 import pytest
 
-from repro.core import MonotoneViolation
+from repro.core import CheckpointChain, MonotoneViolation
 from repro.durability import (
     DurableSketch,
+    OsFilesystem,
+    SimulatedCrash,
+    Snapshot,
     WalCorruptionError,
     list_segments,
     recover,
 )
-from repro.durability.recovery import list_snapshots
-from repro.persistent import AttpSampleHeavyHitter, BitpSampleHeavyHitter
+from repro.durability.recovery import SEALED_LOG, DeltaSnapshot, list_snapshots
+from repro.io import encode_sketch, load_sketch
+from repro.persistent import (
+    AttpSampleHeavyHitter,
+    BitpSampleHeavyHitter,
+    BitpTreeMisraGries,
+)
+from repro.sketches import CountMinSketch
 
 
 def attp_factory():
@@ -252,3 +263,164 @@ class TestDurableSketchErgonomics:
         clone = pickle.loads(pickle.dumps(store.sketch))
         assert clone.heavy_hitters_at(99.0, 0.05) == store.heavy_hitters_at(99.0, 0.05)
         store.close()
+
+
+# -- delta snapshots -----------------------------------------------------------
+
+
+def chain_factory():
+    return CheckpointChain(functools.partial(CountMinSketch, 128, 3, 1), eps=0.05)
+
+
+class Forwarding:
+    """A wrapper that forwards every unknown attribute, like a proxy."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def update(self, value, timestamp, weight=1.0):
+        self.inner.update(value, timestamp, weight)
+
+    def __getattr__(self, name):
+        if name.startswith("_") or name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+def chain_state(chain):
+    """Checkpoints, live table, guard and counts, in comparable form."""
+    return (
+        chain.count,
+        chain.total_weight,
+        chain._weight_at_last_checkpoint,
+        chain._previous_timestamp,
+        chain._guard.last,
+        chain.live.counters().tobytes(),
+        [(ts, snap.counters().tobytes()) for ts, snap in chain.checkpoints()],
+    )
+
+
+def chain_reference(n):
+    return reference(chain_factory, n)
+
+
+class _CrashBeforeHeadRename(OsFilesystem):
+    """Dies before renaming a snapshot into place: the sealed frame is
+    already fsynced, so ``sealed.log`` ends in residue no snapshot names."""
+
+    def replace(self, source, destination):
+        if Path(destination).name.startswith("snapshot-"):
+            raise SimulatedCrash("crash before the snapshot rename")
+        super().replace(source, destination)
+
+
+class TestDeltaSnapshots:
+    def test_restored_state_equals_a_full_pickle_round_trip(self, tmp_path):
+        store = DurableSketch.open(chain_factory, tmp_path, snapshot_every=0)
+        fed = 0
+        for step in (1, 50, 400, 700, 1_500, 3_000):
+            for key, timestamp in keyed_stream(step)[fed:]:
+                store.update(key, timestamp)
+            fed = step
+            store.snapshot()
+            head = load_sketch(list_snapshots(tmp_path)[0])
+            assert isinstance(head, DeltaSnapshot)
+            assert head.sealed_count == store.num_checkpoints()
+            full = pickle.loads(pickle.dumps(store.sketch))
+            result = recover(tmp_path, chain_factory)
+            assert result.sealed_count == store.num_checkpoints()
+            assert result.sealed_bytes == (tmp_path / SEALED_LOG).stat().st_size
+            assert chain_state(result.sketch) == chain_state(full)
+        store.close()
+        assert chain_state(recover(tmp_path, chain_factory).sketch) == chain_state(
+            chain_reference(3_000)
+        )
+
+    def test_each_sealed_checkpoint_is_written_once(self, tmp_path):
+        store = DurableSketch.open(chain_factory, tmp_path, snapshot_every=250)
+        feed(store, 4_000)
+        store.close()
+        frame_total = (tmp_path / SEALED_LOG).stat().st_size
+        one = len(encode_sketch(list(store.checkpoints())[:1]))
+        # One frame per snapshot, each holding only the new checkpoints.
+        assert frame_total < (store.num_checkpoints() + store.snapshots_taken) * one
+        head = list_snapshots(tmp_path)[0].stat().st_size
+        assert head < 2 * len(encode_sketch(store.live))
+
+    def test_corrupt_sealed_frame_falls_back_to_older_snapshot(self, tmp_path):
+        store = DurableSketch.open(
+            chain_factory, tmp_path, snapshot_every=0, keep_snapshots=3
+        )
+        feed(store, 1_000)
+        store.snapshot()
+        older_bytes = store._sealed_bytes
+        older = list_snapshots(tmp_path)[0]
+        for key, timestamp in keyed_stream(3_000)[1_000:]:
+            store.update(key, timestamp)
+        store.snapshot()
+        newest = list_snapshots(tmp_path)[0]
+        store.wal.close()
+        log = tmp_path / SEALED_LOG
+        data = bytearray(log.read_bytes())
+        assert len(data) > older_bytes  # the newest frame lies past the older prefix
+        data[-1] ^= 0xFF  # damage the newest frame's payload
+        log.write_bytes(bytes(data))
+
+        result = recover(tmp_path, chain_factory)
+        assert result.snapshot_path == older
+        assert newest.with_suffix(newest.suffix + ".corrupt") in result.quarantined
+        assert result.sealed_bytes == older_bytes
+        # the older head plus a longer WAL replay reaches the same state
+        assert chain_state(result.sketch) == chain_state(chain_reference(3_000))
+
+    def test_stale_log_tail_truncated_on_reopen(self, tmp_path):
+        store = DurableSketch.open(
+            chain_factory, tmp_path, snapshot_every=0, fs=_CrashBeforeHeadRename()
+        )
+        feed(store, 1_500)
+        with pytest.raises(SimulatedCrash):
+            store.snapshot()
+        store.wal.close()
+        residue = (tmp_path / SEALED_LOG).stat().st_size
+        assert residue > 0 and not list_snapshots(tmp_path)
+
+        reopened = DurableSketch.open(chain_factory, tmp_path, snapshot_every=500)
+        assert reopened.count == 1_500
+        assert reopened.last_recovery.sealed_bytes == 0  # the residue is unnamed
+        for key, timestamp in keyed_stream(4_000)[1_500:]:
+            reopened.update(key, timestamp)
+        reopened.close()
+        # the first append cut the residue: the log is exactly the named prefix
+        head = load_sketch(list_snapshots(tmp_path)[0])
+        assert (tmp_path / SEALED_LOG).stat().st_size == head.sealed_bytes
+        expected = chain_state(chain_reference(4_000))
+        assert chain_state(reopened.sketch) == expected
+        assert chain_state(recover(tmp_path, chain_factory).sketch) == expected
+
+    def test_structure_without_the_protocol_writes_a_full_pickle(self, tmp_path):
+        def factory():
+            return BitpTreeMisraGries(eps=0.05, block_size=32)
+
+        store = DurableSketch.open(factory, tmp_path, snapshot_every=0)
+        feed(store, 500)
+        path = store.snapshot()
+        stored = load_sketch(path)
+        assert type(stored) is Snapshot
+        assert path.read_bytes() == encode_sketch(
+            Snapshot(store.sketch, stored.seqno, wall_time=stored.wall_time)
+        )
+        assert not (tmp_path / SEALED_LOG).exists()
+        store.close()
+
+    def test_forwarding_wrapper_gets_deltas(self, tmp_path):
+        def factory():
+            return Forwarding(chain_factory())
+
+        store = DurableSketch.open(factory, tmp_path, snapshot_every=400)
+        feed(store, 2_000)
+        store.close()
+        assert isinstance(load_sketch(list_snapshots(tmp_path)[0]), DeltaSnapshot)
+        assert (tmp_path / SEALED_LOG).stat().st_size > 0
+        recovered = recover(tmp_path, factory).sketch
+        assert isinstance(recovered, Forwarding)
+        assert chain_state(recovered.inner) == chain_state(chain_reference(2_000))

@@ -6,6 +6,8 @@ import pytest
 
 from repro.io import (
     SketchFileError,
+    decode_frames,
+    encode_sketch,
     inspect_sketch_file,
     load_sketch,
     save_sketch,
@@ -98,3 +100,29 @@ class TestCorruptionDetection:
         path = tmp_path / "cmg.sketch"
         save_sketch(build_sketch(), path)
         assert not (tmp_path / "cmg.sketch.tmp").exists()
+
+
+class TestFrameLog:
+    """Back-to-back frames, as the durable store's sealed.log holds them."""
+
+    def test_frames_decode_in_order(self):
+        log = b"".join(encode_sketch([index, "x" * index]) for index in range(5))
+        assert decode_frames(log) == [[index, "x" * index] for index in range(5)]
+        assert decode_frames(b"") == []
+
+    def test_damaged_frame_named_by_offset(self):
+        first = encode_sketch([1])
+        data = bytearray(first + encode_sketch([2, 3]))
+        data[-1] ^= 0xFF
+        with pytest.raises(SketchFileError, match=f"@{len(first)}.*digest"):
+            decode_frames(bytes(data))
+
+    def test_cut_frame_rejected(self):
+        data = encode_sketch([1]) + encode_sketch([2])
+        with pytest.raises(SketchFileError, match="length mismatch"):
+            decode_frames(data[:-3])
+
+    def test_class_pin_applies_to_every_frame(self):
+        data = encode_sketch([1]) + encode_sketch((2,))
+        with pytest.raises(SketchFileError, match="builtins.tuple"):
+            decode_frames(data, expected_class=list)

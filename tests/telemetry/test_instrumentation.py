@@ -82,6 +82,17 @@ class TestEmittedMetricsAreConsistent:
         assert store.snapshots_taken == N // 4_000
         assert _counter_value("wal_bytes_appended_total") > 0
 
+    def test_snapshot_bytes_count_the_head_and_the_sealed_log(self, ingested):
+        store, _, _ = ingested
+        written = TELEMETRY.registry.histogram("store_snapshot_bytes")
+        assert written.count == store.snapshots_taken == 2
+        on_disk = sum(
+            path.stat().st_size
+            for path in store.directory.iterdir()
+            if path.name.startswith(("snapshot-", "sealed.log"))
+        )
+        assert written.sum == on_disk
+
     def test_bitp_compactions_and_sampler_records(self, ingested):
         _, bitp, topk = ingested
         assert _counter_value(
